@@ -191,3 +191,64 @@ fn rdl_lanes_are_worker_invariant_at_16_gpus_on_switch_fabrics() {
         assert_eq!(one.gpu_count, 16);
     }
 }
+
+/// GPS and GPS-nosub on the conservative `GpsEpochs` tier: the window
+/// barrier shifts their timing against the classic engine by design, so
+/// worker invariance alone (`crates/paradigms/tests/lane_gps.rs`) cannot
+/// catch a change that moves every worker count the same way. These
+/// committed fingerprints do.
+#[test]
+fn gps_lane_reports_match_goldens() {
+    const GPS_GOLDEN_PATH: &str = "tests/goldens/sim_reports_tiny_gps_lanes.txt";
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# GPS GpsEpochs lane-engine fingerprints: suite, {GPUS} GPUs, pcie3, tiny scale, 1 worker."
+    );
+    let _ = writeln!(
+        out,
+        "# Regenerate with GPS_UPDATE_GOLDENS=1 cargo test --test golden_reports_parallel"
+    );
+    for app in suite::all() {
+        let wl = (app.build)(GPUS, ScaleProfile::Tiny);
+        for paradigm in [Paradigm::Gps, Paradigm::GpsNoSubscription] {
+            let r = run(
+                paradigm,
+                &wl,
+                SimConfig::gv100_system(GPUS).with_parallel_workers(1),
+            );
+            let _ = writeln!(
+                out,
+                "{}/{}-lanes: {}",
+                app.name,
+                paradigm.label(),
+                fingerprint(&r)
+            );
+        }
+    }
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GPS_GOLDEN_PATH);
+    if std::env::var_os("GPS_UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, &out).expect("write goldens");
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); generate with GPS_UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    let drift: Vec<&str> = committed
+        .lines()
+        .zip(out.lines())
+        .filter(|(old, new)| old != new)
+        .map(|(old, _)| old.split(':').next().unwrap_or("?"))
+        .collect();
+    assert!(
+        committed == out,
+        "GPS lane-engine fingerprints drifted from {} for {} config(s): {:?}",
+        path.display(),
+        drift.len(),
+        drift
+    );
+}

@@ -29,6 +29,13 @@ fn artifacts(t: &Telemetry) -> (String, String) {
     (chrome_trace(t).emit(), phase_breakdown(t))
 }
 
+/// FNV-1a, 64-bit: a dependency-free digest for the committed goldens.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn pure_tier_telemetry_is_byte_identical_to_sequential() {
     // GPS left this set when it moved to the conservative GpsEpochs tier
@@ -92,4 +99,48 @@ fn disabled_probe_parallel_run_still_matches_sequential_report() {
     };
     assert_eq!(run(Paradigm::InfiniteBw, 0), run(Paradigm::InfiniteBw, 2));
     assert_eq!(run(Paradigm::Gps, 1), run(Paradigm::Gps, 2));
+}
+
+/// The classic engine's exported telemetry, pinned byte for byte: the
+/// tests above compare engines and worker counts against each other, so a
+/// change that moved the classic trace and every lane tier alike would
+/// pass them. Digests of the Chrome trace and the phase breakdown for
+/// three paradigms on one regular and one irregular app catch it.
+#[test]
+fn classic_telemetry_matches_committed_digests() {
+    const DIGEST_PATH: &str = "tests/goldens/telemetry_classic_digests.txt";
+    let mut out = String::from(
+        "# Classic-engine telemetry digests (FNV-1a 64 and byte length): 4 GPUs, pcie3, tiny scale.\n\
+         # Regenerate with GPS_UPDATE_GOLDENS=1 cargo test --test telemetry_parallel\n",
+    );
+    for app in ["jacobi", "sssp"] {
+        for paradigm in [Paradigm::Um, Paradigm::Memcpy, Paradigm::Gps] {
+            let (trace, phases) = artifacts(&capture(app, paradigm, 0));
+            out.push_str(&format!(
+                "{app}/{}: trace={:016x}/{} phases={:016x}/{}\n",
+                paradigm.label(),
+                fnv1a(trace.as_bytes()),
+                trace.len(),
+                fnv1a(phases.as_bytes()),
+                phases.len(),
+            ));
+        }
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(DIGEST_PATH);
+    if std::env::var_os("GPS_UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, &out).expect("write goldens");
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); generate with GPS_UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        committed,
+        out,
+        "classic telemetry drifted from {}",
+        path.display()
+    );
 }
