@@ -28,7 +28,7 @@ use gps_core::{GpsSystem, GpsTlb, InsertOutcome, PageState, RemoteWriteQueue, Rw
 use gps_interconnect::Fabric;
 use gps_mem::GpsPageTable;
 use gps_obs::{names, ProbeHandle, Track};
-use gps_sim::{LaneLoad, LaneRouter, LaneStore};
+use gps_sim::{LaneRouter, LoadRoute, StoreRoute};
 use gps_types::{Cycle, GpuId, Latency, LineAddr, PageSize, Scope, Vpn, CACHE_LINE_BYTES};
 
 /// Immutable driver-state snapshot the routers route from: the GPS page
@@ -187,43 +187,43 @@ impl LaneRouter for GpsLaneRouter {
 
     /// Mirrors [`GpsSystem::load`] against the snapshot (the
     /// subscribed-by-default tier never subscribes on read).
-    fn load(&mut self, line: LineAddr) -> LaneLoad {
+    fn load(&mut self, line: LineAddr) -> LoadRoute {
         let vpn = line.vpn(self.snap.page_size);
         if self.snap.page(vpn).is_none() {
-            return LaneLoad::Local; // not GPS-managed
+            return LoadRoute::Local; // not GPS-managed
         }
         if self.snap.is_subscriber(self.gpu, vpn) {
-            return LaneLoad::Local;
+            return LoadRoute::Local;
         }
         if self.rwq.contains(line) {
-            return LaneLoad::Forwarded;
+            return LoadRoute::Forwarded;
         }
         match self.snap.serving_gpu(vpn) {
-            Some(from) if from != self.gpu => LaneLoad::Remote { from },
-            _ => LaneLoad::Local,
+            Some(from) if from != self.gpu => LoadRoute::Remote { from },
+            _ => LoadRoute::Local,
         }
     }
 
     /// Mirrors [`GpsSystem::store`], buffering broadcasts, peer stores and
     /// collapses for the barrier.
-    fn store(&mut self, line: LineAddr, scope: Scope, now: Cycle) -> LaneStore {
+    fn store(&mut self, line: LineAddr, scope: Scope, now: Cycle) -> StoreRoute {
         let vpn = line.vpn(self.snap.page_size);
         let Some(state) = self.snap.page(vpn) else {
-            return LaneStore::Local;
+            return StoreRoute::Local;
         };
         if !state.gps_bit {
             // Conventional (collapsed or single-subscriber) page.
             return match self.snap.serving_gpu(vpn) {
                 Some(owner) if owner != self.gpu => {
                     self.buffer(now, LaneEffect::Peer { to: owner });
-                    LaneStore::Remote
+                    StoreRoute::Remote { to: owner }
                 }
-                _ => LaneStore::Local,
+                _ => StoreRoute::Local,
             };
         }
         if scope == Scope::Sys {
             self.buffer(now, LaneEffect::Collapse { vpn });
-            return LaneStore::Stall {
+            return StoreRoute::StallThenLocal {
                 ready: now + self.collapse_latency,
             };
         }
@@ -244,23 +244,23 @@ impl LaneRouter for GpsLaneRouter {
         if let Some(before) = before {
             self.emit_rwq_delta(before, now);
         }
-        LaneStore::Replicated
+        StoreRoute::LocalReplicated
     }
 
     /// Mirrors [`GpsSystem::atomic`]: never coalesced, broadcasts at the
     /// barrier.
-    fn atomic(&mut self, line: LineAddr, now: Cycle) -> LaneStore {
+    fn atomic(&mut self, line: LineAddr, now: Cycle) -> StoreRoute {
         let vpn = line.vpn(self.snap.page_size);
         let Some(state) = self.snap.page(vpn) else {
-            return LaneStore::Local;
+            return StoreRoute::Local;
         };
         if !state.gps_bit {
             return match self.snap.serving_gpu(vpn) {
                 Some(owner) if owner != self.gpu => {
                     self.buffer(now, LaneEffect::Peer { to: owner });
-                    LaneStore::Remote
+                    StoreRoute::Remote { to: owner }
                 }
-                _ => LaneStore::Local,
+                _ => StoreRoute::Local,
             };
         }
         let before = self.probe.is_enabled().then(|| self.rwq.stats());
@@ -270,7 +270,7 @@ impl LaneRouter for GpsLaneRouter {
         if let Some(before) = before {
             self.emit_rwq_delta(before, now);
         }
-        LaneStore::Replicated
+        StoreRoute::LocalReplicated
     }
 
     fn tlb_miss(&mut self, vpn: Vpn, now: Cycle) {

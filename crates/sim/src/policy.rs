@@ -123,37 +123,6 @@ pub enum LaneMode {
     Fallback,
 }
 
-/// How a [`LaneMode::GpsEpochs`] lane services one coalesced load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneLoad {
-    /// Local hierarchy (subscriber replica or non-GPS page).
-    Local,
-    /// The issuing GPU's own write queue holds the line (§5.1 forward).
-    Forwarded,
-    /// Demand-read from `from` at the next window barrier.
-    Remote {
-        /// The GPU whose DRAM will service the read.
-        from: GpuId,
-    },
-}
-
-/// How a [`LaneMode::GpsEpochs`] lane handles one coalesced store/atomic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneStore {
-    /// Local write only.
-    Local,
-    /// Peer store to a conventional page owned by another GPU: the router
-    /// has buffered the transfer for the barrier; nothing is kept locally.
-    Remote,
-    /// GPS page: local replica written, replication coalesced or buffered.
-    Replicated,
-    /// The warp stalls until `ready` (sys-scoped collapse).
-    Stall {
-        /// When the collapse fault resolves.
-        ready: Cycle,
-    },
-}
-
 /// Per-lane routing state for [`LaneMode::GpsEpochs`].
 ///
 /// A router owns everything one GPU's accesses need inside a window: the
@@ -167,14 +136,21 @@ pub trait LaneRouter: Send + 'static {
     /// Hands the router its lane's buffering probe (before the run).
     fn attach_probe(&mut self, probe: ProbeHandle);
 
-    /// Routes one coalesced load of `line`.
-    fn load(&mut self, line: LineAddr) -> LaneLoad;
+    /// Routes one coalesced load of `line`: [`LoadRoute::Local`],
+    /// [`LoadRoute::Forwarded`] (the GPU's own write queue holds the line,
+    /// §5.1) or [`LoadRoute::Remote`] (demand-read at the next window
+    /// barrier). The stall variants are never returned.
+    fn load(&mut self, line: LineAddr) -> LoadRoute;
 
     /// Routes one coalesced store to `line` at (translated) time `now`.
-    fn store(&mut self, line: LineAddr, scope: Scope, now: Cycle) -> LaneStore;
+    /// [`StoreRoute::Remote`] means the router buffered a peer store for
+    /// the barrier; [`StoreRoute::StallThenLocal`] is a sys-scoped
+    /// collapse.
+    fn store(&mut self, line: LineAddr, scope: Scope, now: Cycle) -> StoreRoute;
 
-    /// Routes one atomic to `line` at (translated) time `now`.
-    fn atomic(&mut self, line: LineAddr, now: Cycle) -> LaneStore;
+    /// Routes one atomic to `line` at (translated) time `now`, like
+    /// [`store`](LaneRouter::store).
+    fn atomic(&mut self, line: LineAddr, now: Cycle) -> StoreRoute;
 
     /// A last-level conventional TLB miss at `now` (pre-walk), feeding the
     /// access tracking unit at the next barrier.
